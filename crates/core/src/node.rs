@@ -390,7 +390,6 @@ impl SwimNode {
         config.validate()?;
         let awareness = Awareness::new(config.effective_awareness_max());
         let packet_budget = config.packet_budget;
-        let config_shards = config.shards;
         // Instance id for delta-sync watermarks: seed-derived (so runs
         // stay reproducible) without consuming the protocol RNG stream,
         // and never zero (`since_epoch == 0` means "unknown" on the
@@ -407,9 +406,9 @@ impl SwimNode {
             addr,
             incarnation: Incarnation::ZERO,
             meta: Bytes::new(),
-            membership: Membership::with_shards(config_shards),
+            membership: Membership::new(),
             probe_list: ProbeList::new(),
-            broadcasts: BroadcastQueue::with_shards(config_shards),
+            broadcasts: BroadcastQueue::new(),
             awareness,
             suspicions: HashMap::new(),
             probe: None,

@@ -6,18 +6,17 @@
 //! messages and timers are queued and processed the moment it resumes —
 //! exactly the observable behaviour of a process starved of CPU.
 //!
-//! # Execution model: lanes, windows, canonical commits
+//! # Execution order: windows and canonical commits
 //!
-//! Nodes are partitioned round-robin over per-node event lanes (the
-//! private `lane` module), each with its own event queue. The simulation
-//! advances in bounded *windows* no longer than the network's minimum
-//! one-way latency: within a window no lane can causally affect another,
-//! so lanes run independently — inline when `workers == 1`, on a scoped
-//! worker pool otherwise. Cross-node effects are buffered and *committed*
-//! between windows in the canonical order `(time, sending node, per-node
-//! sequence)`; network RNG draws, telemetry and trace appends all happen
-//! at commit. Because that order never depends on lane assignment or
-//! thread scheduling, a run is **byte-identical at any worker count**.
+//! One event queue drives every node. The simulation advances in
+//! *windows* no longer than the network's minimum one-way latency, so
+//! nothing a node sends inside a window can arrive inside it. Within a
+//! window, events are dispatched in queue order and each node's effects
+//! (sends, membership conclusions) are buffered. Between windows they are
+//! *committed* in the canonical order `(time, sending node, per-node
+//! sequence)`: network RNG draws, arrival scheduling, telemetry and trace
+//! appends all happen at commit. That order fixes the network RNG stream
+//! and the queue order of same-instant arrivals, so it defines the trace.
 //!
 //! The whole simulation is deterministic for a given
 //! [`ClusterBuilder::seed`]: node RNGs, network jitter and event ordering
@@ -37,16 +36,16 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel;
 use lifeguard_core::config::Config;
-use lifeguard_core::driver::Driver;
+use lifeguard_core::driver::{Driver, OwnedOutput};
 use lifeguard_core::node::{Input, SwimNode};
-use lifeguard_proto::{NodeAddr, NodeName};
+use lifeguard_proto::{Message, NodeAddr, NodeName};
 
 use crate::anomaly::AnomalySpec;
 use crate::clock::{SimDuration, SimTime};
-use crate::lane::{EmitKind, Emission, Lane, LaneEvent, LaneSink, NodeSlot, Topology, TraceRecord};
+use crate::event_queue::EventQueue;
 use crate::network::{Delivery, Network, NetworkConfig};
+use crate::sink::{EmitKind, Emission, NodeSink, Topology, TraceRecord};
 use crate::telemetry::Telemetry;
 use crate::trace::Trace;
 
@@ -102,7 +101,6 @@ pub struct ClusterBuilder {
     network: NetworkConfig,
     anomalies: Vec<(usize, AnomalySpec)>,
     full_mesh: bool,
-    workers: usize,
     phantoms: usize,
 }
 
@@ -118,7 +116,6 @@ impl ClusterBuilder {
             network: NetworkConfig::loopback(),
             anomalies: Vec::new(),
             full_mesh: false,
-            workers: 1,
             phantoms: 0,
         }
     }
@@ -157,15 +154,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Number of worker threads processing event lanes (default 1:
-    /// fully inline execution). Any value produces the same trace,
-    /// telemetry and final state — parallelism is an implementation
-    /// detail of the window scheduler, not an observable input.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
     /// Extends the roster with `phantoms` phantom members (indices
     /// `n..n + phantoms`): table entries answered by a canned prober-side
     /// responder instead of a full protocol instance. Requires
@@ -186,20 +174,15 @@ impl ClusterBuilder {
             "phantom members require full_mesh bootstrap"
         );
         assert!(total <= 1 << 24, "address scheme supports 2^24 members");
-        let topo = Topology {
-            lanes: self.workers.clamp(1, n),
-            real: n,
-            total,
-        };
-        // The conservative-lookahead horizon: nothing crosses the
-        // network faster than the minimum one-way latency, so a window
-        // of that length is causally closed per lane.
+        // The window length: nothing crosses the network faster than
+        // the minimum one-way latency, so no send lands in the window
+        // that produced it.
         let horizon_us = self
             .network
             .datagram_latency
             .min(self.network.stream_latency)
             .as_micros() as u64;
-        let mut lanes: Vec<Lane> = (0..topo.lanes).map(|_| Lane::default()).collect();
+        let mut slots = Vec::with_capacity(n);
         let mut addr_to_idx = HashMap::with_capacity(n);
         for i in 0..n {
             let name = NodeName::from(format!("node-{i}"));
@@ -211,7 +194,7 @@ impl ClusterBuilder {
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add(i as u64 + 1);
             let node = SwimNode::new(name, addr, self.config.clone(), node_seed);
-            lanes[topo.lane_of(i)].slots.push(NodeSlot {
+            slots.push(NodeSlot {
                 driver: Driver::new(node),
                 paused_until: None,
                 crashed: false,
@@ -221,15 +204,17 @@ impl ClusterBuilder {
             });
         }
         let mut cluster = Cluster {
-            lanes,
+            slots,
+            queue: EventQueue::new(),
+            emissions: Vec::new(),
+            records: Vec::new(),
             network: Network::new(self.network, self.seed.wrapping_add(0x00C0_FFEE)),
             addr_to_idx,
             now: SimTime::ZERO,
             trace: Trace::new(),
             telemetry: Telemetry::new(n),
-            topo,
+            topo: Topology { real: n, total },
             horizon_us,
-            workers: self.workers.max(1),
         };
         // Boot + join (or direct full-mesh bootstrap). Phantom members
         // appear in the bootstrap roster like any other peer.
@@ -242,32 +227,31 @@ impl ClusterBuilder {
             Vec::new()
         };
         for i in 0..n {
-            cluster.with_sink(i, |driver, sink| driver.start(SimTime::ZERO, sink));
+            cluster.drive_now(i, |driver, sink| driver.start(SimTime::ZERO, sink));
             if self.full_mesh {
-                cluster.slot_mut(i).driver.node_mut().bootstrap_peers(
+                cluster.slots[i].driver.node_mut().bootstrap_peers(
                     roster.iter().cloned(),
                     SimTime::ZERO,
                 );
             } else if i > 0 {
-                cluster.with_sink(i, |driver, sink| {
+                cluster.drive_now(i, |driver, sink| {
                     driver.join(vec![seed_addr], SimTime::ZERO, sink);
                 });
             }
             cluster.ensure_wake(i);
         }
-        // Schedule anomaly windows in the owning lane's queue.
+        // Schedule anomaly windows.
         for (node, spec) in &self.anomalies {
             let wseed = self.seed.wrapping_add(0xA0_0000 + *node as u64);
-            let lane = &mut cluster.lanes[topo.lane_of(*node)];
             for w in spec.windows(wseed) {
-                lane.queue.push(
+                cluster.queue.push(
                     w.start,
-                    LaneEvent::PauseStart {
+                    SimEvent::PauseStart {
                         node: *node,
                         until: w.end,
                     },
                 );
-                lane.queue.push(w.end, LaneEvent::PauseEnd { node: *node });
+                cluster.queue.push(w.end, SimEvent::PauseEnd { node: *node });
             }
         }
         cluster
@@ -276,7 +260,16 @@ impl ClusterBuilder {
 
 /// A running simulated cluster.
 pub struct Cluster {
-    lanes: Vec<Lane>,
+    /// Node `i`'s driver and anomaly state, at index `i`.
+    // bounded: fixed at build time — one slot per real node, never grows
+    slots: Vec<NodeSlot>,
+    queue: EventQueue<SimEvent>,
+    /// Effects buffered during the current window.
+    // bounded: drained every window commit; holds one window's sends
+    emissions: Vec<Emission>,
+    /// Trace entries buffered during the current window.
+    // bounded: drained every window commit; holds one window's conclusions
+    records: Vec<TraceRecord>,
     network: Network,
     addr_to_idx: HashMap<NodeAddr, usize>,
     now: SimTime,
@@ -285,7 +278,61 @@ pub struct Cluster {
     topo: Topology,
     /// Window length: the network's minimum one-way latency, in µs.
     horizon_us: u64,
-    workers: usize,
+}
+
+/// An event in the cluster's queue.
+enum SimEvent {
+    /// A node's next timer deadline fell due.
+    Wake {
+        /// Index of the node.
+        node: usize,
+    },
+    /// A datagram arrives.
+    Datagram {
+        /// Index of the receiving node.
+        to: usize,
+        /// Sender address (used for ack routing).
+        from: NodeAddr,
+        /// Raw packet bytes.
+        payload: Bytes,
+    },
+    /// A stream message arrives.
+    Stream {
+        /// Index of the receiving node.
+        to: usize,
+        /// Sender's advertised address.
+        from: NodeAddr,
+        /// The decoded message.
+        msg: Message,
+    },
+    /// An anomaly window opens.
+    PauseStart {
+        /// Index of the paused node.
+        node: usize,
+        /// When the window closes.
+        until: SimTime,
+    },
+    /// An anomaly window closes.
+    PauseEnd {
+        /// Index of the resuming node.
+        node: usize,
+    },
+}
+
+/// One simulated node: its driver plus anomaly state.
+struct NodeSlot {
+    /// The protocol core behind the shared sans-I/O driver harness.
+    driver: Driver,
+    paused_until: Option<SimTime>,
+    crashed: bool,
+    wake_marker: Option<SimTime>,
+    /// Sends generated while paused ("block immediately before
+    /// sending"); flushed in order at the end of the anomaly.
+    // bounded: drained at PauseEnd; holds at most one anomaly's worth of buffered sends
+    outbox: Vec<OwnedOutput>,
+    /// Monotonic stamp shared by this node's emissions and trace
+    /// records: the third component of the canonical commit key.
+    emit_seq: u64,
 }
 
 impl Cluster {
@@ -325,7 +372,7 @@ impl Cluster {
 
     /// Read access to a node's protocol state.
     pub fn node(&self, i: usize) -> &SwimNode {
-        self.slot(i).driver.node()
+        self.slots[i].driver.node()
     }
 
     /// The recorded event trace.
@@ -346,7 +393,7 @@ impl Cluster {
     pub fn metrics_snapshot(&self, i: usize) -> lifeguard_metrics::Snapshot {
         let t = self.telemetry.node(i);
         lifeguard_metrics::Snapshot {
-            core: self.slot(i).driver.metrics(),
+            core: self.slots[i].driver.metrics(),
             io: lifeguard_metrics::IoSnapshot {
                 datagrams_sent: t.datagrams_sent,
                 datagram_bytes: t.datagram_bytes,
@@ -359,20 +406,32 @@ impl Cluster {
 
     /// Whether node `i` is currently inside an anomaly window.
     pub fn is_paused(&self, i: usize) -> bool {
-        self.slot(i).paused_until.is_some()
+        self.slots[i].paused_until.is_some()
     }
 
     /// Whether node `i` was crashed.
     pub fn is_crashed(&self, i: usize) -> bool {
-        self.slot(i).crashed
+        self.slots[i].crashed
     }
 
     /// Runs the simulation until simulated time `t`.
     pub fn run_until(&mut self, t: SimTime) {
-        if self.workers > 1 && self.topo.lanes > 1 {
-            self.run_until_parallel(t);
-        } else {
-            self.run_until_serial(t);
+        while let Some(base) = self.queue.peek_time().filter(|&b| b <= t) {
+            // The window ends one µs short of the horizon (a delivery
+            // drawn at `base` lands at `base + horizon` at the earliest,
+            // strictly after the window), clipped to the run target.
+            let end = (base.as_micros() + self.horizon_us.saturating_sub(1)).min(t.as_micros());
+            let wend = SimTime::from_micros(end);
+            while self.queue.peek_time().is_some_and(|at| at <= wend) {
+                let Some((at, ev)) = self.queue.pop() else {
+                    break;
+                };
+                debug_assert!(at >= self.now, "sim time went backwards");
+                self.now = at;
+                self.dispatch(ev);
+            }
+            self.now = wend;
+            self.commit();
         }
         if t > self.now {
             self.now = t;
@@ -389,30 +448,22 @@ impl Cluster {
     pub fn apply(&mut self, action: SimAction) {
         match action {
             SimAction::Crash { node } => {
-                self.slot_mut(node).crashed = true;
+                self.slots[node].crashed = true;
             }
             SimAction::Pause { node, duration } => {
                 let until = self.now + duration;
-                self.slot_mut(node).paused_until = Some(until);
-                let now = self.now;
-                self.with_sink(node, |driver, sink| {
-                    driver
-                        .handle(Input::IoBlocked { blocked: true }, now, sink)
-                        .expect("io-blocked input is infallible");
-                });
-                let lane = self.topo.lane_of(node);
-                self.lanes[lane]
-                    .queue
-                    .push(until, LaneEvent::PauseEnd { node });
+                self.pause(node, until);
+                self.commit();
+                self.queue.push(until, SimEvent::PauseEnd { node });
             }
             SimAction::Leave { node } => {
                 let now = self.now;
-                self.with_sink(node, |driver, sink| driver.leave(now, sink));
+                self.drive_now(node, |driver, sink| driver.leave(now, sink));
                 self.ensure_wake(node);
             }
             SimAction::UpdateMeta { node, meta } => {
                 let now = self.now;
-                self.with_sink(node, |driver, sink| {
+                self.drive_now(node, |driver, sink| {
                     driver
                         .handle(Input::UpdateMeta { meta }, now, sink)
                         .expect("update-meta input is infallible");
@@ -432,21 +483,18 @@ impl Cluster {
     /// other functioning node as alive.
     pub fn converged(&self) -> bool {
         let participants: Vec<usize> = (0..self.len())
-            .filter(|&i| !self.slot(i).crashed && !self.slot(i).driver.node().has_left())
+            .filter(|&i| !self.slots[i].crashed && !self.slots[i].driver.node().has_left())
             .collect();
-        for &i in &participants {
-            for &j in &participants {
-                if i == j {
-                    continue;
-                }
-                let name = Self::name_of(j);
-                match self.slot(i).driver.node().member(&name) {
-                    Some(m) if m.state == lifeguard_proto::MemberState::Alive => {}
-                    _ => return false,
-                }
-            }
-        }
-        true
+        let names: Vec<NodeName> = participants.iter().map(|&j| Self::name_of(j)).collect();
+        participants.iter().all(|&i| {
+            let node = self.slots[i].driver.node();
+            participants.iter().zip(&names).all(|(&j, name)| {
+                i == j
+                    || node
+                        .member(name)
+                        .is_some_and(|m| m.state == lifeguard_proto::MemberState::Alive)
+            })
+        })
     }
 
     /// Indices of nodes that consider `name` alive right now.
@@ -454,12 +502,11 @@ impl Cluster {
         let name = NodeName::from(name);
         (0..self.len())
             .filter(|&i| {
-                self.slot(i)
+                self.slots[i]
                     .driver
                     .node()
                     .member(&name)
-                    .map(|m| m.state == lifeguard_proto::MemberState::Alive)
-                    .unwrap_or(false)
+                    .is_some_and(|m| m.state == lifeguard_proto::MemberState::Alive)
             })
             .collect()
     }
@@ -468,253 +515,254 @@ impl Cluster {
     // Internals
     // ------------------------------------------------------------------
 
-    fn slot(&self, i: usize) -> &NodeSlot {
-        &self.lanes[self.topo.lane_of(i)].slots[self.topo.slot_of(i)]
-    }
-
-    fn slot_mut(&mut self, i: usize) -> &mut NodeSlot {
-        &mut self.lanes[self.topo.lane_of(i)].slots[self.topo.slot_of(i)]
-    }
-
-    /// End of the window opening at `base`: one µs short of the horizon
-    /// (a delivery drawn at `base` lands at `base + horizon` at the
-    /// earliest, strictly after the window), clipped to the run target.
-    fn window_end(base: SimTime, horizon_us: u64, t: SimTime) -> SimTime {
-        let w = base.as_micros() + horizon_us.saturating_sub(1);
-        SimTime::from_micros(w.min(t.as_micros()))
-    }
-
-    /// Earliest pending event across all lanes: the next window's base.
-    fn next_event_time(&self) -> Option<SimTime> {
-        self.lanes.iter().filter_map(|l| l.queue.peek_time()).min()
-    }
-
-    fn run_until_serial(&mut self, t: SimTime) {
-        let topo = self.topo;
-        let mut ems = Vec::new();
-        let mut recs = Vec::new();
-        while let Some(base) = self.next_event_time() {
-            if base > t {
-                break;
-            }
-            let wend = Self::window_end(base, self.horizon_us, t);
-            for lane in &mut self.lanes {
-                if lane.queue.peek_time().is_none_or(|p| p > wend) {
-                    continue; // nothing due: the lane clock catches up lazily
+    fn dispatch(&mut self, ev: SimEvent) {
+        let now = self.now;
+        match ev {
+            SimEvent::Wake { node } => {
+                let slot = &mut self.slots[node];
+                if slot.wake_marker != Some(now) {
+                    return; // stale wake; a fresher one is queued
                 }
-                lane.run_window(wend, topo);
+                slot.wake_marker = None;
+                if slot.crashed {
+                    return;
+                }
+                // Timers run even during an anomaly: the paper's
+                // instrumentation blocks only sends/receives, so the
+                // agent's logic keeps evaluating wall-clock deadlines.
+                // Sends it produces are captured in the outbox by the
+                // sink.
+                self.drive(node, |driver, sink| driver.tick(now, sink));
+                self.ensure_wake(node);
             }
-            self.now = wend;
-            let Cluster {
-                lanes,
-                network,
-                addr_to_idx,
-                telemetry,
-                trace,
-                ..
-            } = self;
-            commit_window(lanes, network, addr_to_idx, telemetry, trace, &mut ems, &mut recs);
-        }
-    }
-
-    /// The same window loop, with lanes shipped to a scoped worker pool.
-    /// Lanes move by value through channels (no locks, no shared state);
-    /// the coordinator blocks for the window barrier, then commits —
-    /// committing is serial by design, it is where the canonical order
-    /// is imposed.
-    fn run_until_parallel(&mut self, t: SimTime) {
-        let topo = self.topo;
-        let horizon_us = self.horizon_us;
-        let workers = self.workers.min(self.topo.lanes);
-        let Cluster {
-            lanes,
-            network,
-            addr_to_idx,
-            telemetry,
-            trace,
-            now,
-            ..
-        } = self;
-        let mut ems = Vec::new();
-        let mut recs = Vec::new();
-        let (work_tx, work_rx) = channel::unbounded::<(usize, Lane, SimTime)>();
-        let (done_tx, done_rx) = channel::unbounded::<(usize, Lane)>();
-        let result = crossbeam::thread::scope(|s| {
-            for _ in 0..workers {
-                let rx = work_rx.clone();
-                let tx = done_tx.clone();
-                s.spawn(move |_| {
-                    while let Ok((i, mut lane, wend)) = rx.recv() {
-                        lane.run_window(wend, topo);
-                        if tx.send((i, lane)).is_err() {
-                            break;
-                        }
-                    }
+            SimEvent::Datagram { to, from, payload } => {
+                let slot = &self.slots[to];
+                if slot.crashed {
+                    return;
+                }
+                if let Some(until) = slot.paused_until {
+                    // Blocked on receive: queue for after the anomaly.
+                    self.queue
+                        .push(until, SimEvent::Datagram { to, from, payload });
+                    return;
+                }
+                // Zero-copy delivery: compound parts and blob fields
+                // alias the datagram buffer. Malformed packets are
+                // dropped, as a real deployment would.
+                self.drive(to, |driver, sink| {
+                    let _ = driver.handle(Input::Datagram { from, payload }, now, sink);
                 });
+                self.ensure_wake(to);
             }
-            while let Some(base) = lanes.iter().filter_map(|l| l.queue.peek_time()).min() {
-                if base > t {
-                    break;
+            SimEvent::Stream { to, from, msg } => {
+                let slot = &self.slots[to];
+                if slot.crashed {
+                    return;
                 }
-                let wend = Self::window_end(base, horizon_us, t);
-                let mut sent = 0usize;
-                for (i, lane) in lanes.iter_mut().enumerate() {
-                    if lane.queue.peek_time().is_none_or(|p| p > wend) {
-                        continue;
-                    }
-                    let lane = std::mem::take(lane);
-                    if work_tx.send((i, lane, wend)).is_err() {
-                        panic!("sim worker exited prematurely");
-                    }
-                    sent += 1;
+                if let Some(until) = slot.paused_until {
+                    self.queue.push(until, SimEvent::Stream { to, from, msg });
+                    return;
                 }
-                for _ in 0..sent {
-                    let Ok((i, lane)) = done_rx.recv() else {
-                        panic!("sim worker exited prematurely");
-                    };
-                    lanes[i] = lane;
-                }
-                *now = wend;
-                commit_window(lanes, network, addr_to_idx, telemetry, trace, &mut ems, &mut recs);
+                self.drive(to, |driver, sink| {
+                    driver
+                        .handle(Input::Stream { from, msg }, now, sink)
+                        .expect("stream input is infallible");
+                });
+                self.ensure_wake(to);
             }
-            drop(work_tx);
-        });
-        if let Err(payload) = result {
-            std::panic::resume_unwind(payload);
+            SimEvent::PauseStart { node, until } => {
+                if !self.slots[node].crashed {
+                    self.pause(node, until);
+                }
+            }
+            SimEvent::PauseEnd { node } => {
+                let slot = &mut self.slots[node];
+                if slot.crashed {
+                    return;
+                }
+                // Only the end of the latest-ending overlapping pause
+                // resumes the node.
+                if slot.paused_until.is_some_and(|u| u <= now) {
+                    slot.paused_until = None;
+                    // "The blocked sends ... are unblocked": flush
+                    // everything the node tried to send while paused,
+                    // then let the node evaluate its postponed probe
+                    // deadlines (which fail, raising suspicions) and any
+                    // other due timers.
+                    let outbox = std::mem::take(&mut slot.outbox);
+                    self.drive(node, |driver, sink| {
+                        for held in outbox {
+                            sink.dispatch_owned(held);
+                        }
+                        driver
+                            .handle(Input::IoBlocked { blocked: false }, now, sink)
+                            .expect("io-blocked input is infallible");
+                        driver.tick(now, sink);
+                    });
+                    self.ensure_wake(node);
+                }
+            }
         }
     }
 
-    /// Runs one driver call against the owning lane's sink at the
-    /// cluster clock, then immediately commits the buffered effects —
-    /// the path for build-time boots and injected actions, which happen
-    /// between windows.
-    fn with_sink<R>(
-        &mut self,
-        node: usize,
-        f: impl FnOnce(&mut Driver, &mut LaneSink<'_>) -> R,
-    ) -> R {
-        let topo = self.topo;
-        let lane = topo.lane_of(node);
-        self.lanes[lane].now = self.now;
-        let r = self.lanes[lane].with_sink(node, topo, f);
-        let Cluster {
-            lanes,
-            network,
-            addr_to_idx,
-            telemetry,
-            trace,
+    /// Blocks `node`'s I/O until at least `until`. Overlapping pauses
+    /// keep the later end, so a short pause inside a long one cannot
+    /// resume the node early.
+    fn pause(&mut self, node: usize, until: SimTime) {
+        let slot = &mut self.slots[node];
+        slot.paused_until = Some(slot.paused_until.map_or(until, |u| u.max(until)));
+        let now = self.now;
+        self.drive(node, |driver, sink| {
+            driver
+                .handle(Input::IoBlocked { blocked: true }, now, sink)
+                .expect("io-blocked input is infallible");
+        });
+    }
+
+    /// Runs one driver call with a [`NodeSink`] assembled from split
+    /// borrows of the cluster's fields — the single place the shared
+    /// driver harness attaches to the effect buffers.
+    fn drive(&mut self, node: usize, f: impl FnOnce(&mut Driver, &mut NodeSink<'_>)) {
+        let NodeSlot {
+            driver,
+            paused_until,
+            outbox,
+            emit_seq,
             ..
-        } = self;
-        let mut ems = Vec::new();
-        let mut recs = Vec::new();
-        commit_window(lanes, network, addr_to_idx, telemetry, trace, &mut ems, &mut recs);
-        r
+        } = &mut self.slots[node];
+        let mut sink = NodeSink {
+            node,
+            now: self.now,
+            paused: paused_until.is_some(),
+            topo: self.topo,
+            outbox,
+            seq: emit_seq,
+            emissions: &mut self.emissions,
+            records: &mut self.records,
+        };
+        f(driver, &mut sink)
+    }
+
+    /// [`Cluster::drive`], then an immediate commit — the path for
+    /// build-time boots and injected actions, which happen between
+    /// windows.
+    fn drive_now(&mut self, node: usize, f: impl FnOnce(&mut Driver, &mut NodeSink<'_>)) {
+        self.drive(node, f);
+        self.commit();
     }
 
     /// Arms a wake event at the node's next timer deadline unless an
     /// earlier one is already queued.
     fn ensure_wake(&mut self, node: usize) {
-        let topo = self.topo;
-        let lane = topo.lane_of(node);
-        self.lanes[lane].now = self.now;
-        self.lanes[lane].ensure_wake(node, topo);
-    }
-}
-
-/// Sorts the effects buffered by every lane into the canonical
-/// `(time, sender, per-sender seq)` order and applies them: telemetry
-/// counters, network verdicts (the only RNG draws in the delivery path)
-/// and arrival events for the owning lanes, then trace appends in
-/// `(time, reporter, seq)` order. This is the serialisation point that
-/// makes worker count unobservable.
-fn commit_window(
-    lanes: &mut [Lane],
-    network: &mut Network,
-    addr_to_idx: &HashMap<NodeAddr, usize>,
-    telemetry: &mut Telemetry,
-    trace: &mut Trace,
-    ems: &mut Vec<Emission>,
-    recs: &mut Vec<TraceRecord>,
-) {
-    for lane in lanes.iter_mut() {
-        ems.append(&mut lane.emissions);
-        recs.append(&mut lane.records);
-    }
-    ems.sort_unstable_by_key(|e| (e.at, e.from, e.seq));
-    recs.sort_unstable_by_key(|r| (r.at, r.reporter, r.seq));
-    let lanes_n = lanes.len();
-    for em in ems.drain(..) {
-        let from_addr = Cluster::addr_for(em.from);
-        match em.kind {
-            EmitKind::Packet { to, payload } => {
-                telemetry.record_datagram(em.from, payload.len());
-                let Some(&to_idx) = addr_to_idx.get(&to) else {
-                    continue; // address outside the simulation
-                };
-                if let Delivery::Deliver(delay) = network.datagram(em.from, to_idx) {
-                    lanes[to_idx % lanes_n].queue.push(
-                        em.at + delay,
-                        LaneEvent::Datagram {
-                            to: to_idx,
-                            from: from_addr,
-                            payload,
-                        },
-                    );
-                }
-            }
-            EmitKind::Stream { to, msg, len } => {
-                telemetry.record_stream(em.from, len);
-                let Some(&to_idx) = addr_to_idx.get(&to) else {
-                    continue;
-                };
-                if let Delivery::Deliver(delay) = network.stream(em.from, to_idx) {
-                    lanes[to_idx % lanes_n].queue.push(
-                        em.at + delay,
-                        LaneEvent::Stream {
-                            to: to_idx,
-                            from: from_addr,
-                            msg,
-                        },
-                    );
-                }
-            }
-            EmitKind::PhantomPacket {
-                phantom,
-                len,
-                replies,
-            } => {
-                telemetry.record_datagram(em.from, len);
-                // Outbound leg to the phantom; each canned reply then
-                // takes its own return leg. Phantom sends are not
-                // telemetered — telemetry tracks real nodes only.
-                if let Delivery::Deliver(out) = network.datagram(em.from, phantom) {
-                    let phantom_addr = Cluster::addr_for(phantom);
-                    for (reply_to, payload) in replies {
-                        let Some(&to_idx) = addr_to_idx.get(&reply_to) else {
-                            continue;
-                        };
-                        if let Delivery::Deliver(back) = network.datagram(phantom, to_idx) {
-                            lanes[to_idx % lanes_n].queue.push(
-                                em.at + out + back,
-                                LaneEvent::Datagram {
-                                    to: to_idx,
-                                    from: phantom_addr,
-                                    payload,
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-            EmitKind::PhantomStream { len } => {
-                // Counted like any send, then dropped: phantoms have no
-                // stream endpoint, so anti-entropy with them is a no-op.
-                telemetry.record_stream(em.from, len);
+        let now = self.now;
+        let slot = &mut self.slots[node];
+        if slot.crashed {
+            return;
+        }
+        let Some(wake) = slot.driver.next_wake() else {
+            return;
+        };
+        let wake = wake.max(now);
+        match slot.wake_marker {
+            Some(existing) if existing <= wake => {}
+            _ => {
+                slot.wake_marker = Some(wake);
+                self.queue.push(wake, SimEvent::Wake { node });
             }
         }
     }
-    for r in recs.drain(..) {
-        trace.record(r.at, r.reporter, r.event);
+
+    /// Sorts the buffered effects into the canonical `(time, sender,
+    /// per-sender seq)` order and applies them: telemetry counters,
+    /// network verdicts (the only RNG draws in the delivery path) and
+    /// arrival events, then trace appends in `(time, reporter, seq)`
+    /// order.
+    fn commit(&mut self) {
+        let Cluster {
+            queue,
+            emissions,
+            records,
+            network,
+            addr_to_idx,
+            telemetry,
+            trace,
+            ..
+        } = self;
+        emissions.sort_unstable_by_key(|e| (e.at, e.from, e.seq));
+        records.sort_unstable_by_key(|r| (r.at, r.reporter, r.seq));
+        for em in emissions.drain(..) {
+            let from_addr = Cluster::addr_for(em.from);
+            match em.kind {
+                EmitKind::Packet { to, payload } => {
+                    telemetry.record_datagram(em.from, payload.len());
+                    let Some(&to_idx) = addr_to_idx.get(&to) else {
+                        continue; // address outside the simulation
+                    };
+                    if let Delivery::Deliver(delay) = network.datagram(em.from, to_idx) {
+                        queue.push(
+                            em.at + delay,
+                            SimEvent::Datagram {
+                                to: to_idx,
+                                from: from_addr,
+                                payload,
+                            },
+                        );
+                    }
+                }
+                EmitKind::Stream { to, msg, len } => {
+                    telemetry.record_stream(em.from, len);
+                    let Some(&to_idx) = addr_to_idx.get(&to) else {
+                        continue;
+                    };
+                    if let Delivery::Deliver(delay) = network.stream(em.from, to_idx) {
+                        queue.push(
+                            em.at + delay,
+                            SimEvent::Stream {
+                                to: to_idx,
+                                from: from_addr,
+                                msg,
+                            },
+                        );
+                    }
+                }
+                EmitKind::PhantomPacket {
+                    phantom,
+                    len,
+                    replies,
+                } => {
+                    telemetry.record_datagram(em.from, len);
+                    // Outbound leg to the phantom; each canned reply then
+                    // takes its own return leg. Phantom sends are not
+                    // telemetered — telemetry tracks real nodes only.
+                    if let Delivery::Deliver(out) = network.datagram(em.from, phantom) {
+                        let phantom_addr = Cluster::addr_for(phantom);
+                        for (reply_to, payload) in replies {
+                            let Some(&to_idx) = addr_to_idx.get(&reply_to) else {
+                                continue;
+                            };
+                            if let Delivery::Deliver(back) = network.datagram(phantom, to_idx) {
+                                queue.push(
+                                    em.at + out + back,
+                                    SimEvent::Datagram {
+                                        to: to_idx,
+                                        from: phantom_addr,
+                                        payload,
+                                    },
+                                );
+                            }
+                        }
+                    }
+                }
+                EmitKind::PhantomStream { len } => {
+                    // Counted like any send, then dropped: phantoms have no
+                    // stream endpoint, so anti-entropy with them is a no-op.
+                    telemetry.record_stream(em.from, len);
+                }
+            }
+        }
+        for r in records.drain(..) {
+            trace.record(r.at, r.reporter, r.event);
+        }
     }
 }
 
@@ -723,13 +771,8 @@ impl std::fmt::Debug for Cluster {
         f.debug_struct("Cluster")
             .field("n", &self.topo.real)
             .field("phantoms", &(self.topo.total - self.topo.real))
-            .field("lanes", &self.topo.lanes)
-            .field("workers", &self.workers)
             .field("now", &self.now)
-            .field(
-                "pending_events",
-                &self.lanes.iter().map(|l| l.queue.len()).sum::<usize>(),
-            )
+            .field("pending_events", &self.queue.len())
             .field("trace_len", &self.trace.len())
             .finish()
     }
@@ -873,23 +916,49 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_is_unobservable() {
-        let run = |workers: usize| {
-            let mut c = ClusterBuilder::new(6).seed(21).workers(workers).build();
-            c.run_for(SimDuration::from_secs(8));
-            c.apply(SimAction::Crash { node: 5 });
-            c.run_for(SimDuration::from_secs(22));
-            let events: Vec<String> = c
-                .trace()
-                .events()
-                .iter()
-                .map(|e| format!("{:?}/{}/{:?}", e.at, e.reporter, e.event))
-                .collect();
-            (events, c.telemetry().total())
-        };
-        let serial = run(1);
-        assert_eq!(serial, run(2));
-        assert_eq!(serial, run(5));
+    fn manual_pause_inside_anomaly_keeps_the_later_end() {
+        let mut c = ClusterBuilder::new(4)
+            .seed(7)
+            .anomaly(
+                2,
+                AnomalySpec::Threshold {
+                    start: SimTime::from_secs(10),
+                    duration: Duration::from_secs(10),
+                },
+            )
+            .build();
+        c.run_until(SimTime::from_secs(12));
+        c.apply(SimAction::Pause {
+            node: 2,
+            duration: Duration::from_secs(1),
+        });
+        c.run_until(SimTime::from_secs(15));
+        assert!(c.is_paused(2), "the 1 s pause ended the 10 s anomaly early");
+        c.run_until(SimTime::from_secs(21));
+        assert!(!c.is_paused(2));
+    }
+
+    #[test]
+    fn anomaly_inside_manual_pause_keeps_the_later_end() {
+        let mut c = ClusterBuilder::new(4)
+            .seed(7)
+            .anomaly(
+                2,
+                AnomalySpec::Threshold {
+                    start: SimTime::from_secs(10),
+                    duration: Duration::from_secs(1),
+                },
+            )
+            .build();
+        c.run_until(SimTime::from_secs(9));
+        c.apply(SimAction::Pause {
+            node: 2,
+            duration: Duration::from_secs(10),
+        });
+        c.run_until(SimTime::from_secs(15));
+        assert!(c.is_paused(2), "the 1 s anomaly ended the 10 s pause early");
+        c.run_until(SimTime::from_secs(20));
+        assert!(!c.is_paused(2));
     }
 
     #[test]

@@ -26,8 +26,8 @@ pub mod anomaly;
 pub mod clock;
 pub mod cluster;
 pub mod event_queue;
-mod lane;
 pub mod network;
+mod sink;
 pub mod telemetry;
 pub mod trace;
 
