@@ -1,8 +1,9 @@
 //! Benchmarks of the sans-I/O driving surface (`handle_input` /
 //! `poll_output`) against the seed's `Vec<Output>` collection shape
-//! (kept in [`lifeguard_bench::naive::collect_outputs_vec`]), plus an
-//! allocation-count proof that draining the output queue performs
-//! **zero allocations per poll** in steady state.
+//! (kept in [`lifeguard_bench::naive::collect_outputs_vec`]), plus
+//! allocation-count proofs that draining the output queue performs
+//! **zero allocations per poll** in steady state, and that a warm tick
+//! whose only outputs are packets performs **zero allocations** too.
 //!
 //! The workload is a 1000-member node in steady state: every cycle one
 //! gossip message arrives (keeping the broadcast queue non-empty),
@@ -117,18 +118,23 @@ fn gossip_payload(incarnation: u64) -> Bytes {
     }))
 }
 
-/// Advances one steady-state cycle: gossip arrival + due timers. The
-/// outputs are left queued for the caller to drain.
-fn advance_cycle(node: &mut SwimNode, now: &mut Time, incarnation: &mut u64) {
+/// Delivers the next gossip arrival.
+fn deliver_gossip(node: &mut SwimNode, now: Time, incarnation: &mut u64) {
     *incarnation += 1;
     node.handle_input(
         Input::Datagram {
             from: NodeAddr::new([10, 1, 0, 0], 7946),
             payload: gossip_payload(*incarnation),
         },
-        *now,
+        now,
     )
     .expect("valid gossip payload");
+}
+
+/// Advances one steady-state cycle: gossip arrival + due timers. The
+/// outputs are left queued for the caller to drain.
+fn advance_cycle(node: &mut SwimNode, now: &mut Time, incarnation: &mut u64) {
+    deliver_gossip(node, *now, incarnation);
     *now += GOSSIP_STEP;
     node.handle_input(Input::Tick, *now).expect("tick");
 }
@@ -218,8 +224,56 @@ fn assert_poll_is_allocation_free() {
     );
 }
 
+/// Proof that a warm tick whose only outputs are packets — gossip
+/// fan-out and probes: sampling the targets, filling each packet from
+/// the broadcast queue, encoding it — performs zero allocations. The
+/// sampler's position map and the queue's requeue buffer are reusable
+/// scratch, like the packet arena. Ticks that also change a member's
+/// state (an event, a new broadcast) or start anti-entropy (a stream)
+/// legitimately allocate and are not counted.
+fn assert_tick_is_allocation_free() {
+    let mut node = steady_state_node();
+    let mut now = Time::ZERO;
+    let mut inc = 10;
+    for _ in 0..200 {
+        advance_cycle(&mut node, &mut now, &mut inc);
+        drain_poll(&mut node);
+    }
+    let mut packet_only = 0usize;
+    let mut tick_allocs = 0u64;
+    for _ in 0..200 {
+        deliver_gossip(&mut node, now, &mut inc);
+        drain_poll(&mut node);
+        now += GOSSIP_STEP;
+        let allocs = count_allocs(|| {
+            node.handle_input(Input::Tick, now).expect("tick");
+        });
+        let (mut packets, mut others) = (0, 0);
+        while let Some(output) = node.poll_output() {
+            match output {
+                Output::Packet { .. } => packets += 1,
+                _ => others += 1,
+            }
+        }
+        if packets > 0 && others == 0 {
+            packet_only += 1;
+            tick_allocs += allocs;
+        }
+    }
+    assert!(
+        packet_only >= 150,
+        "most steady-state ticks must emit packets and nothing else ({packet_only} of 200)"
+    );
+    assert_eq!(
+        tick_allocs, 0,
+        "a warm packet-emitting tick must be allocation-free"
+    );
+    println!("driver/alloc-proof: 0 allocs over {packet_only} packet-emitting ticks");
+}
+
 fn bench_driver(c: &mut Criterion) {
     assert_poll_is_allocation_free();
+    assert_tick_is_allocation_free();
 
     // Full steady-state cycle (input + tick + drain), allocation-free
     // poll path.

@@ -83,6 +83,9 @@ pub struct BroadcastQueue {
     /// entries, matching the seed's retire-every-fill semantics even
     /// when a fill exits before popping them.
     last_limit: u32,
+    /// Reusable buffer for the items one fill pops and puts back.
+    // bounded: emptied at the end of every fill; holds ≤ the items one fill popped (≤ |heap|)
+    requeue: Vec<HeapItem>,
 }
 
 impl Default for BroadcastQueue {
@@ -94,6 +97,7 @@ impl Default for BroadcastQueue {
             next_id: 0,
             min_len: usize::MAX,
             last_limit: 0,
+            requeue: Vec::new(),
         }
     }
 }
@@ -218,7 +222,7 @@ impl BroadcastQueue {
         self.last_limit = transmit_limit;
         // Entries selected this fill are re-queued only after the loop,
         // so no broadcast is packed twice into one packet.
-        let mut requeue: Vec<HeapItem> = Vec::new();
+        let mut requeue = std::mem::take(&mut self.requeue);
         while let Some(item) = self.peek_valid(transmit_limit) {
             self.heap.pop();
             let (Reverse(transmits), id) = item;
@@ -255,7 +259,9 @@ impl BroadcastQueue {
                 requeue.push(item);
             }
         }
-        self.heap.extend(requeue);
+        self.heap.extend(requeue.iter().copied());
+        requeue.clear();
+        self.requeue = requeue;
     }
 
     /// Removes every queued broadcast (used on shutdown).

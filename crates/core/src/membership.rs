@@ -9,7 +9,11 @@
 //!
 //! Records live in one slab (`Vec<Option<Slot>>` + free list) addressed
 //! through a `HashMap<NodeName, slot>` name index, so lookups are O(1)
-//! instead of the seed's O(log n) `BTreeMap` walk. Two dense slot
+//! instead of the seed's O(log n) `BTreeMap` walk. The index sits behind
+//! an `Arc` and is copied on write: only inserting or removing a name
+//! (`Arc::make_mut`) needs a private copy, so tables that adopted the
+//! same [`Roster`] share one index for as long as their name sets agree
+//! — in a full-mesh simulation, every table for the whole run. Two dense slot
 //! vectors partition the table by liveness class — `live` (alive |
 //! suspect) and `gone` (dead | left) — and an `alive` counter tracks the
 //! strictly alive subset. That makes [`Membership::live_count`] /
@@ -20,13 +24,19 @@
 //! candidate `Vec` per call. A change log of `(update_seq, slot)` pairs
 //! backs [`Membership::changed_since`] for delta anti-entropy.
 //!
+//! [`Membership::adopt`] seeds a table that knows only itself from a
+//! roster in one pass with no hashing per entry: slot id = roster
+//! position, and every vector is allocated once at its steady-state size.
+//!
 //! Because the pools are derived from member state, state changes must
 //! go through the table ([`Membership::update`] or
 //! [`Membership::set_state`]); there is deliberately no `get_mut`.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use lifeguard_proto::{MemberState, NodeName};
+use lifeguard_proto::{Incarnation, MemberState, NodeAddr, NodeName};
 use rand::{Rng, RngExt};
 
 use crate::member::Member;
@@ -46,6 +56,67 @@ pub enum SamplePool {
 /// Stable handle to one record: its slot id in the slab.
 type MemberRef = u32;
 
+/// Name → slot id. Shared between tables until one of them inserts or
+/// removes a name.
+type NameIndex = HashMap<NodeName, MemberRef>;
+
+/// Change-log entries a table with `members` members may retain before
+/// compaction: one live entry per member plus a quarter again of stale
+/// ones (and a floor for small tables). Adopted tables allocate their
+/// log at exactly this size.
+fn log_bound(members: usize) -> usize {
+    64 + members + members / 4
+}
+
+/// An ordered member roster with its name index built once, for seeding
+/// many tables through [`Membership::adopt`]. A name's slot id in every
+/// adopting table is its position here. Later duplicates of a name are
+/// dropped (the first address wins).
+#[derive(Clone, Debug)]
+pub struct Roster {
+    // bounded: fixed at construction — one entry per distinct name given
+    members: Vec<(NodeName, NodeAddr)>,
+    index: Arc<NameIndex>,
+}
+
+impl Roster {
+    /// Builds a roster, hashing each name once.
+    pub fn new(peers: impl IntoIterator<Item = (NodeName, NodeAddr)>) -> Self {
+        let peers = peers.into_iter();
+        let hint = peers.size_hint().0;
+        let mut members = Vec::with_capacity(hint);
+        let mut index = NameIndex::with_capacity(hint);
+        for (name, addr) in peers {
+            if let Entry::Vacant(e) = index.entry(name) {
+                members.push((e.key().clone(), addr));
+                e.insert((members.len() - 1) as MemberRef);
+            }
+        }
+        Roster {
+            members,
+            index: Arc::new(index),
+        }
+    }
+
+    /// The names in roster order, leaving out `me`. The iterator's
+    /// lower size bound is exact, so a collector can allocate once.
+    pub fn peers_of(&self, me: &NodeName) -> impl Iterator<Item = &NodeName> {
+        let split = self.index.get(me).map_or(self.members.len(), |&r| r as usize);
+        let (before, after) = self.members.split_at(split);
+        before.iter().chain(after.iter().skip(1)).map(|(name, _)| name)
+    }
+}
+
+/// Reusable working memory for [`Membership::sample_pool_with`]: the
+/// lazy Fisher–Yates position map. Cleared on every call, so a caller
+/// that keeps one samples without allocating once it has grown to its
+/// working size.
+#[derive(Clone, Debug, Default)]
+pub struct SampleScratch {
+    // bounded: cleared on every draw; holds at most one entry per pool position that draw inspected
+    moved: HashMap<usize, usize>,
+}
+
 #[derive(Clone, Debug)]
 struct Slot {
     member: Member,
@@ -63,12 +134,13 @@ pub struct Membership {
     slots: Vec<Option<Slot>>,
     // bounded: ≤ |slots| — holds only currently-empty slot ids
     free: Vec<MemberRef>,
+    /// Copied on write: see the module docs.
     // bounded: one key per member, removed on reap
-    index: HashMap<NodeName, MemberRef>,
+    index: Arc<NameIndex>,
     /// The change log: `(seq, slot id)` in ascending-seq order, one
     /// *live* entry per member. Stale entries are skipped on read and
     /// dropped by amortised compaction.
-    // bounded: compaction in `stamp` keeps len ≤ max(64, 2 × member count)
+    // bounded: compaction in `stamp` and `remove` keeps len ≤ log_bound(member count) = 64 + 1.25 × member count
     log: Vec<(u64, MemberRef)>,
     /// Dense refs of alive | suspect members.
     // bounded: ≤ cluster size — one ref per live member
@@ -233,7 +305,7 @@ impl Membership {
                 (self.slots.len() - 1) as MemberRef
             }
         };
-        self.index.insert(name, r);
+        Arc::make_mut(&mut self.index).insert(name, r);
         self.pool_push(r, state);
         if state == MemberState::Alive {
             self.alive += 1;
@@ -242,9 +314,13 @@ impl Membership {
         None
     }
 
-    /// Removes a member record entirely (dead-node reaping). O(1).
+    /// Removes a member record entirely (dead-node reaping). O(1),
+    /// amortised: the first removal from a shared index copies it.
     pub fn remove(&mut self, name: &NodeName) -> Option<Member> {
-        let r = self.index.remove(name)?;
+        // Look before `make_mut`: removing an unknown name must not
+        // unshare the index.
+        self.index.get(name)?;
+        let r = Arc::make_mut(&mut self.index).remove(name)?;
         debug_invariant!(self.slot(r).is_some(), "membership index points at an empty slot");
         let state = self.slot(r)?.member.state;
         self.pool_remove(r, state);
@@ -253,7 +329,77 @@ impl Membership {
         }
         let slot = self.slots.get_mut(r as usize)?.take()?;
         self.free.push(r);
+        if self.log.len() > log_bound(self.len()) {
+            self.compact_log();
+        }
         Some(slot.member)
+    }
+
+    /// Seeds this table from `roster`: every roster member other than
+    /// `me` becomes an alive record at incarnation 0 whose state changed
+    /// at `now`, and the table shares the roster's name index. O(roster)
+    /// with no hashing beyond looking up `me`; every vector is allocated
+    /// once at its steady-state size.
+    ///
+    /// Precondition: the table knows exactly one member, `me` — the
+    /// state [`SwimNode::start`](crate::node::SwimNode::start) leaves.
+    /// Otherwise nothing changes and `false` is returned.
+    ///
+    /// The result is observably the table that upserting the roster's
+    /// members in order, skipping `me`, would build: the same
+    /// [`iter`](Self::iter) order (`me` first), stamps issued in roster
+    /// order, the same [`update_seq`](Self::update_seq) and the same
+    /// seeded [`sample`](Self::sample) draws. Only slot ids differ, and
+    /// nothing observes those. If `me` is not on the roster, it keeps
+    /// the slot after the roster's and the index is copied to add it.
+    pub fn adopt(&mut self, roster: &Roster, me: &NodeName, now: Time) -> bool {
+        let old = match self.index.get(me) {
+            Some(&old) if self.len() == 1 => old,
+            _ => return false,
+        };
+        let Some(mine) = self.slots.get_mut(old as usize).and_then(Option::take) else {
+            debug_invariant!(false, "membership index points at an empty slot");
+            return false;
+        };
+        let mut index = Arc::clone(&roster.index);
+        let own = match roster.index.get(me) {
+            Some(&pos) => pos,
+            None => {
+                let own = roster.members.len() as MemberRef;
+                Arc::make_mut(&mut index).insert(me.clone(), own);
+                own
+            }
+        };
+        let total = index.len();
+        let (own_state, own_seq) = (mine.member.state, mine.member.updated_seq);
+        let mut slots = Vec::with_capacity(total);
+        slots.extend(roster.members.iter().map(|(name, addr)| {
+            let member = Member::new(name.clone(), *addr, Incarnation::ZERO, now);
+            Some(Slot { member, pos: 0 })
+        }));
+        match slots.get_mut(own as usize) {
+            Some(slot) => *slot = Some(mine),
+            None => slots.push(Some(mine)),
+        }
+        *self = Membership {
+            slots,
+            free: Vec::new(),
+            index,
+            log: Vec::with_capacity(log_bound(total)),
+            live: Vec::with_capacity(total),
+            gone: Vec::new(),
+            alive: usize::from(own_state == MemberState::Alive),
+            update_seq: self.update_seq,
+        };
+        // `me` first, keeping its stamp; then the roster, stamped in order.
+        self.pool_push(own, own_state);
+        self.log.push((own_seq, own));
+        for r in (0..roster.members.len() as MemberRef).filter(|&r| r != own) {
+            self.pool_push(r, MemberState::Alive);
+            self.alive += 1;
+            self.stamp(r);
+        }
+        true
     }
 
     /// Iterates over all member records in pool order (live members
@@ -307,20 +453,22 @@ impl Membership {
         filter: impl FnMut(&Member) -> bool,
     ) -> Vec<&Member> {
         let mut picked = Vec::new();
-        self.sample_pool_with(pool, k, rng, filter, |m| picked.push(m));
+        let mut scratch = SampleScratch::default();
+        self.sample_pool_with(pool, k, rng, &mut scratch, filter, |m| picked.push(m));
         picked
     }
 
     /// Visitor form of [`Membership::sample_pool`]: each drawn member is
-    /// passed to `visit` instead of being collected, so hot callers (the
+    /// passed to `visit` instead of being collected, and the working
+    /// memory comes from the caller's `scratch`, so hot callers (the
     /// node's gossip/probe target selection) can copy the one field they
-    /// need into a reusable buffer without allocating a `Vec<&Member>`
-    /// per call.
+    /// need into a reusable buffer without allocating per call.
     pub fn sample_pool_with<'a, R: Rng>(
         &'a self,
         pool: SamplePool,
         k: usize,
         rng: &mut R,
+        scratch: &mut SampleScratch,
         mut filter: impl FnMut(&Member) -> bool,
         mut visit: impl FnMut(&'a Member),
     ) {
@@ -338,7 +486,8 @@ impl Membership {
         // members draws a uniform k-subset of the eligible members, in
         // uniform order — the same distribution as filtering first and
         // shuffling after, without building the O(n) candidate vector.
-        let mut moved: HashMap<usize, usize> = HashMap::new();
+        let moved = &mut scratch.moved;
+        moved.clear();
         let mut picked = 0;
         let mut i = 0;
         while i < n && picked < k {
@@ -374,8 +523,10 @@ impl Membership {
 
     /// Assigns the next update-seq to the slot at `r` and logs the
     /// change. The log entry this supersedes (if any) becomes stale and
-    /// is dropped lazily; compaction keeps the log within 2× the member
-    /// count, so the amortised cost per change stays O(1).
+    /// is dropped lazily: a full log is compacted before the push, so
+    /// the log never outgrows [`log_bound`] and at least a quarter of
+    /// the member count in stamps separates two compactions — the
+    /// amortised cost per change stays O(1).
     fn stamp(&mut self, r: MemberRef) {
         self.update_seq += 1;
         let seq = self.update_seq;
@@ -383,16 +534,22 @@ impl Membership {
         if let Some(slot) = self.slot_mut(r) {
             slot.member.updated_seq = seq;
         }
-        self.log.push((seq, r));
-        if self.log.len() > 64 && self.log.len() > 2 * self.index.len() {
-            let slots = &self.slots;
-            self.log.retain(|&(seq, r)| {
-                slots
-                    .get(r as usize)
-                    .and_then(|s| s.as_ref())
-                    .is_some_and(|s| s.member.updated_seq == seq)
-            });
+        if self.log.len() >= log_bound(self.len()) {
+            self.compact_log();
         }
+        self.log.push((seq, r));
+    }
+
+    /// Drops the change log's stale entries (superseded stamps and
+    /// removed members), keeping one entry per member.
+    fn compact_log(&mut self) {
+        let slots = &self.slots;
+        self.log.retain(|&(seq, r)| {
+            slots
+                .get(r as usize)
+                .and_then(|s| s.as_ref())
+                .is_some_and(|s| s.member.updated_seq == seq)
+        });
     }
 
     /// The member at virtual position `v` of a pool (All concatenates
@@ -476,7 +633,7 @@ impl Membership {
         assert_eq!(self.gone.len(), gone_scan, "gone pool out of sync");
         assert_eq!(self.alive, alive_scan, "alive counter out of sync");
         assert_eq!(self.index.len(), live_scan + gone_scan, "index out of sync");
-        for (name, &r) in &self.index {
+        for (name, &r) in self.index.iter() {
             let slot = self.slot(r);
             assert!(slot.is_some(), "index points at an empty slot");
             let Some(slot) = slot else { continue };
@@ -505,6 +662,10 @@ impl Membership {
             live_entries,
             self.index.len(),
             "each member must have exactly one live log entry"
+        );
+        assert!(
+            self.log.len() <= log_bound(self.index.len()),
+            "change log outgrew its compaction bound"
         );
         assert_eq!(
             self.changed_since(0).count(),
@@ -765,6 +926,143 @@ mod tests {
         assert_eq!(reap, vec![NodeName::from("node-0")]);
         t.remove(&"node-0".into());
         assert_eq!(t.len(), 2);
+        t.check_invariants();
+    }
+
+    fn roster(n: u8) -> Roster {
+        Roster::new(roster_entries(n))
+    }
+
+    fn roster_entries(n: u8) -> Vec<(NodeName, NodeAddr)> {
+        (0..n).map(|i| (format!("node-{i}").into(), addr(i))).collect()
+    }
+
+    /// A table as `SwimNode::start` leaves it: only `me`, stamped once.
+    fn started(me: &str) -> Membership {
+        let mut t = Membership::new();
+        t.upsert(Member::new(me.into(), addr(200), Incarnation(3), Time::ZERO));
+        t
+    }
+
+    /// Everything observable about a table: records in `iter()` order,
+    /// the full change feed with stamps, the update sequence and a
+    /// spread of seeded sample draws.
+    fn observe(t: &Membership) -> String {
+        let records: Vec<_> = t.iter().collect();
+        let feed: Vec<_> = t
+            .changed_since(0)
+            .map(|m| (m.name.clone(), m.updated_seq))
+            .collect();
+        let mut draws = Vec::new();
+        for pool in [SamplePool::All, SamplePool::Live, SamplePool::Gone] {
+            for k in [1, 3, 7] {
+                for seed in 0..4 {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let picked =
+                        t.sample_pool(pool, k, &mut rng, |m| m.name.as_str() != "node-2");
+                    draws.push(picked.iter().map(|m| m.name.clone()).collect::<Vec<_>>());
+                }
+            }
+        }
+        format!("{records:?}\n{feed:?}\n{}\n{draws:?}", t.update_seq())
+    }
+
+    /// The same churn on two tables, checking they stay in agreement.
+    fn churn_in_step(a: &mut Membership, b: &mut Membership) {
+        for t in [&mut *a, &mut *b] {
+            t.set_state(&"node-1".into(), MemberState::Suspect, Time::from_secs(1));
+            t.set_state(&"node-4".into(), MemberState::Dead, Time::from_secs(2));
+            t.remove(&"node-3".into());
+            t.upsert(Member::new("late".into(), addr(77), Incarnation(1), Time::from_secs(3)));
+            t.update(&"node-0".into(), |m| m.incarnation = Incarnation(9));
+            t.check_invariants();
+        }
+        assert_eq!(observe(a), observe(b));
+    }
+
+    #[test]
+    fn adopted_table_matches_per_member_upserts() {
+        // `me` inside the roster (mid-roster, so its slot id differs
+        // from the upsert model's) and outside it.
+        for me in ["node-5", "outsider"] {
+            let roster = roster(12);
+            let mut adopted = started(me);
+            assert!(adopted.adopt(&roster, &me.into(), Time::from_secs(4)));
+            let mut model = started(me);
+            for (name, a) in &roster_entries(12) {
+                if name.as_str() != me {
+                    let at = Time::from_secs(4);
+                    model.upsert(Member::new(name.clone(), *a, Incarnation::ZERO, at));
+                }
+            }
+            adopted.check_invariants();
+            assert_eq!(adopted.len(), model.len());
+            assert_eq!(observe(&adopted), observe(&model), "me = {me}");
+            // Slot ids differ between the two; later churn (including
+            // slot reuse after a removal) must not reveal it.
+            churn_in_step(&mut adopted, &mut model);
+        }
+    }
+
+    #[test]
+    fn adopting_tables_share_the_index_until_a_name_changes() {
+        let roster = roster(8);
+        let mut a = started("node-0");
+        let mut b = started("node-1");
+        assert!(a.adopt(&roster, &"node-0".into(), Time::ZERO));
+        assert!(b.adopt(&roster, &"node-1".into(), Time::ZERO));
+        assert!(Arc::ptr_eq(&a.index, &b.index), "one index for both tables");
+        let before = observe(&b);
+
+        // State changes and removing an unknown name keep it shared.
+        a.set_state(&"node-6".into(), MemberState::Suspect, Time::from_secs(1));
+        assert!(a.remove(&"missing".into()).is_none());
+        assert!(Arc::ptr_eq(&a.index, &b.index));
+
+        // A removal and a new name copy `a`'s index; `b` sees neither.
+        a.remove(&"node-7".into());
+        a.upsert(Member::new("node-9".into(), addr(9), Incarnation(0), Time::ZERO));
+        assert!(!Arc::ptr_eq(&a.index, &b.index));
+        a.check_invariants();
+        b.check_invariants();
+        assert!(a.get(&"node-7".into()).is_none());
+        assert!(b.get(&"node-7".into()).is_some());
+        assert!(b.get(&"node-9".into()).is_none());
+        assert_eq!(b.len(), 8);
+        assert_eq!(observe(&b), before, "copy-on-write must not touch the other table");
+    }
+
+    #[test]
+    fn adopt_leaves_a_table_that_knows_others_untouched() {
+        let roster = roster(6);
+        let mut t = started("node-0");
+        t.upsert(Member::new("node-3".into(), addr(3), Incarnation(2), Time::ZERO));
+        let before = observe(&t);
+        assert!(!t.adopt(&roster, &"node-0".into(), Time::ZERO));
+        assert_eq!(observe(&t), before);
+        // Not knowing `me` fails the precondition too.
+        let mut empty = Membership::new();
+        assert!(!empty.adopt(&roster, &"node-0".into(), Time::ZERO));
+        assert!(empty.is_empty());
+        let mut other = started("node-2");
+        assert!(!other.adopt(&roster, &"node-0".into(), Time::ZERO));
+        assert_eq!(other.len(), 1);
+    }
+
+    #[test]
+    fn roster_keeps_the_first_of_duplicate_names() {
+        let r = Roster::new([
+            ("a".into(), addr(1)),
+            ("b".into(), addr(2)),
+            ("a".into(), addr(3)),
+        ]);
+        let peers = |me: &str| r.peers_of(&me.into()).cloned().collect::<Vec<NodeName>>();
+        assert_eq!(peers("a"), vec![NodeName::from("b")]);
+        assert_eq!(peers("outsider"), vec![NodeName::from("a"), "b".into()]);
+        assert_eq!(r.peers_of(&"b".into()).size_hint(), (1, Some(1)));
+        let mut t = started("b");
+        assert!(t.adopt(&r, &"b".into(), Time::ZERO));
+        assert_eq!(t.get(&"a".into()).map(|m| m.addr), Some(addr(1)));
         t.check_invariants();
     }
 

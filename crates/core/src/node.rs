@@ -43,7 +43,7 @@ use crate::broadcast::BroadcastQueue;
 use crate::config::Config;
 use crate::event::Event;
 use crate::member::Member;
-use crate::membership::{Membership, SamplePool};
+use crate::membership::{Membership, Roster, SampleScratch, SamplePool};
 use crate::probe_list::ProbeList;
 use crate::suspicion::Suspicion;
 use crate::time::Time;
@@ -354,6 +354,8 @@ pub struct SwimNode {
     /// Reusable target-address buffer for gossip/probe fan-out.
     // bounded: cleared before each use, filled with ≤ max(indirect_checks, gossip fan-out) addresses
     addr_scratch: Vec<NodeAddr>,
+    /// Reusable working memory for membership sampling.
+    sample_scratch: SampleScratch,
 }
 
 impl SwimNode {
@@ -432,6 +434,7 @@ impl SwimNode {
             arena_held: false,
             builder: CompoundBuilder::new(packet_budget),
             addr_scratch: Vec::new(),
+            sample_scratch: SampleScratch::default(),
         })
     }
 
@@ -594,25 +597,39 @@ impl SwimNode {
     }
 
     /// Registers peers directly as alive members, bypassing the join
-    /// protocol — the simulator's full-mesh bootstrap for large-cluster
-    /// benchmarks. No gossip is enqueued and no events are emitted; the
-    /// probe rotation absorbs all names with one bulk shuffle.
+    /// protocol: builds a [`Roster`] from `peers` and adopts it (see
+    /// [`SwimNode::adopt_roster`], whose precondition applies). Duplicate
+    /// names after the first are ignored.
     pub fn bootstrap_peers(
         &mut self,
         peers: impl IntoIterator<Item = (NodeName, NodeAddr)>,
         now: Time,
     ) {
-        debug_assert!(self.started, "bootstrap_peers() before start()");
-        let mut fresh = Vec::new();
-        for (name, addr) in peers {
-            if name == self.name || self.membership.get(&name).is_some() {
-                continue;
-            }
-            self.membership
-                .upsert(Member::new(name.clone(), addr, Incarnation::ZERO, now));
-            fresh.push(name);
+        self.adopt_roster(&Roster::new(peers), now);
+    }
+
+    /// Seeds the member table from `roster` — the simulator's full-mesh
+    /// bootstrap, which builds one roster and has every node adopt it.
+    /// Every roster member other than this node becomes an alive member
+    /// at incarnation 0, sharing the roster's name index. No gossip is
+    /// enqueued and no events are emitted; the probe rotation absorbs
+    /// all names with one bulk shuffle.
+    ///
+    /// Precondition: the table knows only this node, as right after
+    /// [`SwimNode::start`]. A table that already knows other members is
+    /// left untouched (and debug builds panic).
+    pub fn adopt_roster(&mut self, roster: &Roster, now: Time) {
+        debug_assert!(self.started, "adopt_roster() before start()");
+        let adopted = self.membership.adopt(roster, &self.name, now);
+        debug_invariant!(
+            adopted,
+            "adopt_roster() needs a table that knows only this node, as after start()"
+        );
+        if !adopted {
+            return;
         }
-        self.probe_list.extend_shuffled(fresh, &mut self.rng);
+        let peers = roster.peers_of(&self.name).cloned();
+        self.probe_list.extend_shuffled(peers, &mut self.rng);
     }
 
     /// [`Input::Join`]: sends a push-pull sync (carrying our own record)
@@ -1453,6 +1470,7 @@ impl SwimNode {
                 SamplePool::Live,
                 k,
                 &mut self.rng,
+                &mut self.sample_scratch,
                 |m| m.name != *me && m.name != *tgt,
                 |m| scratch.push(m.addr),
             );
@@ -1665,6 +1683,7 @@ impl SwimNode {
                 SamplePool::All,
                 self.config.gossip_nodes,
                 &mut self.rng,
+                &mut self.sample_scratch,
                 |m| {
                     m.name != *me
                         && (m.is_live()
@@ -1729,6 +1748,7 @@ impl SwimNode {
                 SamplePool::Live,
                 1,
                 &mut self.rng,
+                &mut self.sample_scratch,
                 |m| m.name != *me && m.state == MemberState::Alive,
                 |m| peer = Some((m.name.clone(), m.addr)),
             );
@@ -1918,6 +1938,7 @@ impl SwimNode {
                 SamplePool::Gone,
                 1,
                 &mut self.rng,
+                &mut self.sample_scratch,
                 |m| m.name != *me && m.state == MemberState::Dead,
                 |m| peer = Some(m.addr),
             );
@@ -2176,6 +2197,47 @@ mod tests {
             out.extend(tick(n, wake));
         }
         out
+    }
+
+    fn roster_peers(n: u8) -> Vec<(NodeName, NodeAddr)> {
+        (2..2 + n).map(|i| (format!("peer-{i}").into(), addr(i))).collect()
+    }
+
+    #[test]
+    fn bootstrap_peers_registers_self_first_then_roster_order() {
+        let mut n = node(Config::lan());
+        let mut peers = roster_peers(6);
+        peers.insert(3, ("local".into(), addr(99))); // self: skipped
+        peers.push(("peer-4".into(), addr(98))); // duplicate: first wins
+        n.bootstrap_peers(peers, Time::ZERO);
+        let names: Vec<_> = n.members().map(|m| m.name.as_str().to_owned()).collect();
+        let expect = ["local", "peer-2", "peer-3", "peer-4", "peer-5", "peer-6", "peer-7"];
+        assert_eq!(names, expect);
+        assert_eq!(n.members().find(|m| m.name.as_str() == "local").unwrap().addr, addr(1));
+        assert_eq!(n.members().find(|m| m.name.as_str() == "peer-4").unwrap().addr, addr(4));
+        // Every peer is probed, self never.
+        let mut probed = std::collections::HashSet::new();
+        for _ in 0..6 {
+            let t = n.probe_list.next_target(&n.membership, &mut n.rng, |_| true);
+            probed.insert(t.unwrap());
+        }
+        assert_eq!(probed.len(), 6);
+        assert!(!probed.contains(&NodeName::from("local")));
+    }
+
+    /// A second bootstrap breaks the precondition: debug builds panic,
+    /// release builds leave the table as it was.
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "knows only this node"))]
+    fn bootstrap_peers_on_a_populated_table_changes_nothing() {
+        let mut n = node(Config::lan());
+        n.bootstrap_peers(roster_peers(3), Time::ZERO);
+        let before: Vec<_> = n.members().map(|m| format!("{m:?}")).collect();
+        let probes = n.probe_list.len();
+        n.bootstrap_peers(roster_peers(5), Time::ZERO);
+        let after: Vec<_> = n.members().map(|m| format!("{m:?}")).collect();
+        assert_eq!(after, before);
+        assert_eq!(n.probe_list.len(), probes);
     }
 
     #[test]

@@ -49,12 +49,15 @@ impl ProbeList {
 
     /// Bulk insertion for cluster bootstrap: appends all names and
     /// reshuffles once (O(total)), instead of one O(n) positional insert
-    /// per member. Restarts the sweep.
+    /// per member. Restarts the sweep. Reserves exactly the iterator's
+    /// lower size bound up front.
     pub fn extend_shuffled<R: Rng>(
         &mut self,
         names: impl IntoIterator<Item = NodeName>,
         rng: &mut R,
     ) {
+        let names = names.into_iter();
+        self.order.reserve_exact(names.size_hint().0);
         self.order.extend(names);
         self.reshuffle(rng);
     }

@@ -79,13 +79,14 @@ fn apply(m: &mut Membership, op: &Op) {
     }
 }
 
-/// Upper bound on the retained change-log entries: lazy compaction
-/// triggers once the log exceeds `max(64, 2 × members)`, so the table
-/// retains at most `64 + 2 × members` entries no matter how much history
-/// the churn generated. `changed_since(0)` visits at most one entry per
-/// retained stamp, so its cost is bounded by the same expression.
+/// Upper bound on the retained change-log entries: the table compacts
+/// a full log before stamping and after a removal shrinks the bound, so
+/// it retains at most `64 + members + members / 4` entries no matter how
+/// much history the churn generated. `changed_since(0)` visits at most
+/// one entry per retained stamp, so its cost is bounded by the same
+/// expression.
 fn log_bound(m: &Membership) -> usize {
-    64 + 2 * m.len()
+    64 + m.len() + m.len() / 4
 }
 
 /// The members' `(name, updated_seq)` pairs stamped after `cursor`,
@@ -116,8 +117,10 @@ proptest! {
         let mut m = Membership::new();
         for op in &ops {
             apply(&mut m, op);
-            // Invariants hold mid-churn, not just at the end.
+            // Invariants (and the log bound) hold mid-churn, not just
+            // at the end.
             m.check_invariants();
+            prop_assert!(m.retained_log_len() <= log_bound(&m));
         }
 
         // Newest-first, one entry per member, covering everything.

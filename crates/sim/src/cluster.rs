@@ -38,6 +38,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use lifeguard_core::config::Config;
 use lifeguard_core::driver::{Driver, OwnedOutput};
+use lifeguard_core::membership::Roster;
 use lifeguard_core::node::{Input, SwimNode};
 use lifeguard_proto::{Message, NodeAddr, NodeName};
 
@@ -123,7 +124,9 @@ impl ClusterBuilder {
     /// Starts every node with full knowledge of every peer instead of
     /// joining through `node-0`. Skips the O(n²) join/push-pull flood, so
     /// large-cluster benchmarks measure steady-state protocol cost
-    /// rather than bootstrap traffic.
+    /// rather than bootstrap traffic. The roster is built once and every
+    /// node adopts it ([`SwimNode::adopt_roster`]), sharing one name
+    /// index.
     pub fn full_mesh(mut self, enabled: bool) -> Self {
         self.full_mesh = enabled;
         self
@@ -219,20 +222,18 @@ impl ClusterBuilder {
         // Boot + join (or direct full-mesh bootstrap). Phantom members
         // appear in the bootstrap roster like any other peer.
         let seed_addr = Cluster::addr_for(0);
-        let roster: Vec<(NodeName, NodeAddr)> = if self.full_mesh {
-            (0..total)
-                .map(|i| (Cluster::name_of(i), Cluster::addr_for(i)))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        // The roster is hashed once here; every node adopts it and
+        // shares its name index.
+        let roster = self.full_mesh.then(|| {
+            Roster::new((0..total).map(|i| (Cluster::name_of(i), Cluster::addr_for(i))))
+        });
         for i in 0..n {
             cluster.drive_now(i, |driver, sink| driver.start(SimTime::ZERO, sink));
-            if self.full_mesh {
-                cluster.slots[i].driver.node_mut().bootstrap_peers(
-                    roster.iter().cloned(),
-                    SimTime::ZERO,
-                );
+            if let Some(roster) = &roster {
+                cluster.slots[i]
+                    .driver
+                    .node_mut()
+                    .adopt_roster(roster, SimTime::ZERO);
             } else if i > 0 {
                 cluster.drive_now(i, |driver, sink| {
                     driver.join(vec![seed_addr], SimTime::ZERO, sink);

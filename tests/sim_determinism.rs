@@ -1,6 +1,10 @@
 //! Determinism regression: the simulator's observable output — the full
 //! event trace, telemetry totals and every node's final member table —
-//! must be **byte-identical** when a seed is run twice.
+//! must be **byte-identical** when a seed is run twice, and must equal a
+//! pinned FNV-1a hash of that output. The pins catch a change that
+//! alters behaviour reproducibly (a reordered bootstrap, a different
+//! RNG draw), which a same-seed-twice comparison cannot see. A change
+//! that is meant to alter behaviour re-pins them and says why.
 //!
 //! Each scenario exercises convergence plus injected actions (crash,
 //! pause, metadata churn) so the fingerprint covers probe scheduling,
@@ -14,6 +18,21 @@ use bytes::Bytes;
 use lifeguard::core::config::Config;
 use lifeguard::sim::cluster::{Cluster, ClusterBuilder, SimAction};
 use lifeguard::sim::clock::SimDuration;
+
+/// 64-bit FNV-1a of a fingerprint string, rendered as 16 hex digits.
+fn fnv1a(s: &str) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in s.as_bytes() {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("{h:016x}")
+}
+
+/// Pinned hashes of the scenarios below.
+const EVENTFUL: &str = "ddf93f61dd13e02c";
+const PHANTOM: &str = "fccf453b49034821";
+const METRICS_SNAPSHOTS: &str = "7b8570768befd563";
+const METRICS_AGGREGATE: &str = "592ffc3c197c3650";
 
 /// Canonical string form of everything a run observably produced.
 fn fingerprint(c: &Cluster) -> String {
@@ -71,6 +90,7 @@ fn trace_and_tables_identical_for_same_seed() {
         "scenario must actually exercise failure detection"
     );
     assert_eq!(reference, eventful_run(), "same seed diverged");
+    assert_eq!(fnv1a(&reference), EVENTFUL, "behaviour changed");
 }
 
 /// A phantom-extended roster: the canned phantom responder's replies
@@ -99,6 +119,7 @@ fn phantom_rosters_identical_for_same_seed() {
         "roster must include the phantom members"
     );
     assert_eq!(reference, phantom_run(), "same seed diverged");
+    assert_eq!(fnv1a(&reference), PHANTOM, "behaviour changed");
 }
 
 /// The per-node metrics export must be deterministic too: the exact
@@ -131,6 +152,8 @@ fn metrics_snapshots_identical_for_same_seed() {
     let (snaps, json) = run();
     assert_eq!(snaps, ref_snaps, "metrics diverged on a rerun");
     assert_eq!(json, ref_json);
+    assert_eq!(fnv1a(&format!("{ref_snaps:?}")), METRICS_SNAPSHOTS, "metrics changed");
+    assert_eq!(fnv1a(&ref_json), METRICS_AGGREGATE, "aggregate changed");
 }
 
 /// Different seeds must still differ — guards against the fingerprint
